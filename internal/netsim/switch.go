@@ -62,9 +62,9 @@ type Switch struct {
 	aisTicking bool
 	aisTickFn  func()
 
-	// Free list of pooled fabric-transit records, so per-cell switching
-	// costs no closure or event allocation (see swDefer).
-	freeDefer *swDefer
+	// Cells in fabric transit. The switching delay is fixed, so transit is
+	// a FIFO: one kernel event for the oldest cell, none per cell.
+	fabric *sim.DelayLine[swTransit]
 
 	stats SwitchStats
 
@@ -177,6 +177,7 @@ func NewSwitch(k *sim.Kernel, name string, nPorts int, rate units.BitRate, queue
 		portDown: make([]bool, nPorts),
 	}
 	s.aisTickFn = s.aisTick
+	s.fabric = sim.NewDelayLine(k, s.transitDone)
 	ct := units.CellTime(rate)
 	for i := 0; i < nPorts; i++ {
 		i := i
@@ -448,37 +449,18 @@ func (s *Switch) receive(port int, c *atm.Cell) {
 	}
 }
 
-// swDefer is one cell in fabric transit: a pooled record whose bound fire
-// method replaces the per-cell closure the switching delay used to cost.
-type swDefer struct {
-	s    *Switch
+// swTransit is one cell in fabric transit and the output it is bound for.
+type swTransit struct {
 	dest swDest
 	cell *atm.Cell
-	fn   func()
-	next *swDefer
 }
 
 // deferEnqueue schedules enqueue(dest, c) after the fabric transit delay.
 func (s *Switch) deferEnqueue(dest swDest, c *atm.Cell) {
-	r := s.freeDefer
-	if r == nil {
-		r = &swDefer{s: s}
-		r.fn = r.fire
-	} else {
-		s.freeDefer = r.next
-		r.next = nil
-	}
-	r.dest, r.cell = dest, c
-	s.k.PostAfter(s.SwitchingDelay, r.fn)
+	s.fabric.Push(s.k.Now()+s.SwitchingDelay, swTransit{dest: dest, cell: c})
 }
 
-func (r *swDefer) fire() {
-	dest, cell := r.dest, r.cell
-	r.cell = nil
-	r.next = r.s.freeDefer
-	r.s.freeDefer = r
-	r.s.enqueue(dest, cell)
-}
+func (s *Switch) transitDone(t swTransit) { s.enqueue(t.dest, t.cell) }
 
 // frame returns the frame-discard state for an output VC on a port.
 func (p *swPort) frame(vc atm.VC) *frameState {

@@ -13,8 +13,16 @@ import (
 // costs a closure plus an Event per cell; the deferrer instead parks the
 // (cell, sink) pair in a pooled record whose bound fire method was created
 // once, and schedules it through the kernel's Post free list — steady-state
-// deferral is 0 allocs/op. CellLink and the sonetlink cell-recovery path
-// both defer through this.
+// deferral is 0 allocs/op.
+//
+// Each deferred cell is its own kernel event, so a long link holds one
+// queued event per cell in flight. The per-cell paths therefore defer
+// through a sim.DelayLine instead (CellLink.Send, FrameLink, the sonetlink
+// cell-recovery spread, the switch fabric). What still uses the deferrer is
+// the burst datapath: CellLink.DeliverBurst and BurstSpreader, which post a
+// whole vector's cells at once at arithmetic offsets. That code is slated
+// for deletion with the rest of the burst path, so it keeps the deferrer
+// rather than move to lines; its events carry the same keys either way.
 type CellDeferrer struct {
 	k     *sim.Kernel
 	free  *cellDefer

@@ -7,6 +7,11 @@
 //   - FrameLink carries serialized SONET frames with propagation delay and
 //     bit-error injection, for end-to-end runs through the real framer,
 //     scrambler and delineation machinery.
+//
+// A fiber delivers in the order it was fed, so both links keep what is in
+// flight in a sim.DelayLine: one queued kernel event per link direction, for
+// the unit due next, however long the fiber. Dispatch order is the same as
+// one event per unit. CellDeferrer survives only for the burst path.
 package phy
 
 import (
@@ -56,7 +61,11 @@ type CellLink struct {
 	down  bool
 	sig   SignalConsumer // explicit signal sink; nil = auto-detect on sink
 
-	def            *CellDeferrer
+	// Cells in flight: the fiber is a FIFO, so it holds one kernel event
+	// for the cell at its head rather than one per cell.
+	line *sim.DelayLine[*atm.Cell]
+
+	def            *CellDeferrer        // burst path only
 	deliverFn      func(*atm.Cell)      // bound deliver method, created once
 	deliverBurstFn func(*atm.CellBurst) // bound burst deliver method
 
@@ -85,6 +94,7 @@ func NewCellLink(k *sim.Kernel, delay sim.Duration, seed uint64, sink atm.CellCo
 	l := &CellLink{k: k, Delay: delay, rng: sim.NewRand(seed), sink: sink}
 	l.def = NewCellDeferrer(k)
 	l.deliverFn = l.deliver
+	l.line = sim.NewDelayLine(k, l.deliverFn)
 	l.deliverBurstFn = l.deliverBurst
 	return l
 }
@@ -230,7 +240,7 @@ func (l *CellLink) Send(c *atm.Cell) {
 		l.mb.Post(l.k.Now()+l.Delay, l.k.Now(), l.remoteFn, c)
 		return
 	}
-	l.def.Post(l.Delay, l.deliverFn, c)
+	l.line.Push(l.k.Now()+l.Delay, c)
 }
 
 // DeliverBurst implements atm.BurstConsumer: a whole cell vector enters the
@@ -323,24 +333,12 @@ type FrameLink struct {
 	down  bool
 	sig   SignalConsumer
 
-	pool  *bufpool.Pool // optional: recycles in-flight frame copies
-	ffree *frameDefer
+	pool *bufpool.Pool          // optional: recycles in-flight frame copies
+	line *sim.DelayLine[[]byte] // frame copies in flight, oldest first
 }
 
-// frameDefer parks one in-flight frame copy; pooled like cellDefer so a
-// steady frame stream costs no per-frame closure.
-type frameDefer struct {
-	l    *FrameLink
-	buf  []byte
-	fn   func()
-	next *frameDefer
-}
-
-func (r *frameDefer) fire() {
-	l, buf := r.l, r.buf
-	r.buf = nil
-	r.next = l.ffree
-	l.ffree = r
+// deliver hands one frame copy to the sink when it reaches the far end.
+func (l *FrameLink) deliver(buf []byte) {
 	l.sink(buf)
 	// With a pool installed the frame copy is recycled as soon as the sink
 	// returns — the sink must not retain it (the deframer copies; see
@@ -354,7 +352,9 @@ func NewFrameLink(k *sim.Kernel, delay sim.Duration, seed uint64, sink func([]by
 	if sink == nil {
 		panic("phy: nil sink")
 	}
-	return &FrameLink{k: k, Delay: delay, rng: sim.NewRand(seed), sink: sink}
+	l := &FrameLink{k: k, Delay: delay, rng: sim.NewRand(seed), sink: sink}
+	l.line = sim.NewDelayLine(k, l.deliver)
+	return l
 }
 
 // Stats returns cumulative counters.
@@ -417,16 +417,7 @@ func (l *FrameLink) Send(frame []byte) {
 		buf[i] ^= 1 << uint(l.rng.Intn(8))
 	}
 	l.stats.Delivered++
-	r := l.ffree
-	if r == nil {
-		r = &frameDefer{l: l}
-		r.fn = r.fire
-	} else {
-		l.ffree = r.next
-		r.next = nil
-	}
-	r.buf = buf
-	l.k.PostAfter(l.Delay, r.fn)
+	l.line.Push(l.k.Now()+l.Delay, buf)
 }
 
 // PropDelay returns the propagation delay for a fiber of the given length in

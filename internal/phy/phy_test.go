@@ -1,9 +1,13 @@
 package phy
 
 import (
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/atm"
+	"repro/internal/bufpool"
 	"repro/internal/sim"
 )
 
@@ -139,14 +143,14 @@ func TestNilSinkPanics(t *testing.T) {
 	}
 }
 
-// The cell delivery path — CellLink.Send through the deferrer and the
-// kernel's Post free list to the sink — must not allocate at steady state.
+// The cell delivery path — CellLink.Send through the link's delay line and
+// the kernel queue to the sink — must not allocate at steady state.
 func TestCellLinkSendZeroAlloc(t *testing.T) {
 	k := sim.NewKernel()
 	delivered := 0
 	l := NewCellLink(k, 5000, 1, atm.SinkFunc(func(c *atm.Cell) { delivered++ }))
 	c := &atm.Cell{}
-	// Warm the deferrer and kernel free lists.
+	// Warm the delay line's ring.
 	l.Send(c)
 	k.Run()
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -266,5 +270,179 @@ func TestFrameLinkFailRestore(t *testing.T) {
 	}
 	if len(rec.ups) != 2 || rec.ups[0] || !rec.ups[1] {
 		t.Fatalf("signal transitions %v, want [down up]", rec.ups)
+	}
+}
+
+// Re-attaching the delivery end while cells are in flight redirects them:
+// the sink is read when each cell arrives, not when it was sent.
+func TestCellLinkAttachSinkRedirectsCellsInFlight(t *testing.T) {
+	k := sim.NewKernel()
+	var old, repl []uint16
+	l := NewCellLink(k, 5000, 1, atm.SinkFunc(func(c *atm.Cell) { old = append(old, c.Header.VCI) }))
+	for i := 0; i < 4; i++ {
+		c := &atm.Cell{}
+		c.Header.VCI = uint16(i)
+		k.At(sim.Time(i)*1000, func() { l.Send(c) })
+	}
+	k.RunUntil(5500) // cell 0 has arrived; 1..3 are on the fiber
+	l.AttachSink(atm.SinkFunc(func(c *atm.Cell) { repl = append(repl, c.Header.VCI) }))
+	k.Run()
+	if len(old) != 1 || old[0] != 0 {
+		t.Fatalf("old sink got %v, want [0]", old)
+	}
+	if len(repl) != 3 || repl[0] != 1 || repl[1] != 2 || repl[2] != 3 {
+		t.Fatalf("new sink got %v, want [1 2 3]", repl)
+	}
+}
+
+// Cells on the fiber when it is cut still arrive, in order, and loss of
+// signal reaches the receiver after the last of them.
+func TestCellLinkFailSignalLandsAfterCellsInFlight(t *testing.T) {
+	k := sim.NewKernel()
+	var log []string
+	l := NewCellLink(k, 5000, 1, atm.SinkFunc(func(c *atm.Cell) {
+		log = append(log, fmt.Sprintf("cell%d@%d", c.Header.VCI, k.Now()))
+	}))
+	l.SetSignalSink(signalFunc(func(up bool) { log = append(log, fmt.Sprintf("up=%v@%d", up, k.Now())) }))
+	for i := 0; i < 3; i++ {
+		c := &atm.Cell{}
+		c.Header.VCI = uint16(i)
+		k.At(sim.Time(i)*1000, func() { l.Send(c) })
+	}
+	// Cut at the instant the last cell leaves, after it: the signal and the
+	// cell share an arrival time, and the cell was sent first.
+	k.At(2000, l.Fail)
+	k.Run()
+	want := []string{"cell0@5000", "cell1@6000", "cell2@7000", "up=false@7000"}
+	if !reflect.DeepEqual(log, want) {
+		t.Fatalf("arrivals %v, want %v", log, want)
+	}
+}
+
+type signalFunc func(up bool)
+
+func (f signalFunc) SignalChange(up bool) { f(up) }
+
+// Lowering Delay while cells are in flight lets later cells overtake
+// earlier ones; each still arrives at send time + the delay it was sent
+// under, and cells landing at the same instant keep send order.
+func TestCellLinkDelayLoweredMidRun(t *testing.T) {
+	k := sim.NewKernel()
+	var log []string
+	l := NewCellLink(k, 5000, 1, atm.SinkFunc(func(c *atm.Cell) {
+		log = append(log, fmt.Sprintf("%d@%d", c.Header.VCI, k.Now()))
+	}))
+	send := func(at sim.Time, vci uint16, delay sim.Duration) {
+		k.At(at, func() {
+			l.Delay = delay
+			c := &atm.Cell{}
+			c.Header.VCI = vci
+			l.Send(c)
+		})
+	}
+	send(0, 1, 5000)    // arrives 5000
+	send(100, 2, 5000)  // arrives 5100
+	send(4000, 3, 1000) // arrives 5000: ties cell 1, sent later
+	send(4000, 4, 500)  // arrives 4500: overtakes 1, 2 and 3
+	send(4200, 5, 900)  // arrives 5100: ties cell 2, sent later
+	send(4300, 6, 5000) // arrives 9300: back to the long delay
+	k.Run()
+	want := []string{"4@4500", "1@5000", "3@5000", "2@5100", "5@5100", "6@9300"}
+	if !reflect.DeepEqual(log, want) {
+		t.Fatalf("arrivals %v, want %v", log, want)
+	}
+}
+
+// A link whose ends sit in different partitions of a sim.Group delivers
+// through a mailbox. Everything the receiving partition sees — cells with
+// their corrupted payloads, carrier transitions, local events interleaved
+// with them — must be byte-identical to the serial run.
+func TestCellLinkBoundaryMatchesSerial(t *testing.T) {
+	run := func(sharded bool) string {
+		src, dst := sim.NewKernel(), sim.NewKernel()
+		var g *sim.Group
+		if sharded {
+			g = sim.NewGroup([]*sim.Kernel{src, dst})
+		} else {
+			dst = src
+		}
+		var b strings.Builder
+		l := NewCellLink(src, 10_000, 9, atm.SinkFunc(func(c *atm.Cell) {
+			fmt.Fprintf(&b, "%d cell %d %x\n", dst.Now(), c.Header.VCI, c.Payload)
+		}))
+		l.LossProb, l.CorruptProb = 0.05, 0.2
+		l.SetSignalSink(signalFunc(func(up bool) { fmt.Fprintf(&b, "%d signal %v\n", dst.Now(), up) }))
+		if sharded {
+			l.SetBoundary(g.Mailbox(src, dst, l.Delay), nil, "l")
+		}
+		for i := 0; i < 400; i++ {
+			c := &atm.Cell{}
+			c.Header.VCI = uint16(i)
+			c.Payload[0] = byte(i)
+			src.At(sim.Time(i)*700, func() { l.Send(c) })
+		}
+		src.At(100_000, l.Fail)
+		src.At(150_000, l.Restore)
+		// A receiver-side clock whose ticks share arrival instants.
+		var tick func()
+		tick = func() {
+			fmt.Fprintf(&b, "%d tick\n", dst.Now())
+			if dst.Now() < 300_000 {
+				dst.After(1000, tick)
+			}
+		}
+		dst.At(0, tick)
+		if sharded {
+			g.Run()
+			g.Close()
+		} else {
+			src.Run()
+		}
+		return b.String()
+	}
+	serial, sharded := run(false), run(true)
+	if serial != sharded {
+		t.Fatalf("sharded receive side differs from serial:\nserial:\n%.600s\nsharded:\n%.600s", serial, sharded)
+	}
+	if !strings.Contains(serial, "signal false") || !strings.Contains(serial, " cell 399 ") {
+		t.Fatalf("run did not exercise cells and signals:\n%.600s", serial)
+	}
+}
+
+// With a buffer pool installed, every frame copy on the fiber comes back to
+// the pool once its sink returns — also with many frames in flight at once
+// and when the fiber is cut and restored under them.
+func TestFrameLinkBufPoolRecyclesEveryCopy(t *testing.T) {
+	k := sim.NewKernel()
+	frames := 0
+	l := NewFrameLink(k, 500_000, 1, func(f []byte) {
+		if f[0] != byte(frames) {
+			t.Fatalf("frame %d arrived carrying %d", frames, f[0])
+		}
+		frames++
+	})
+	pool := bufpool.New()
+	l.SetBufPool(pool)
+	buf := make([]byte, 810)
+	sent := 0
+	for i := 0; i < 40; i++ {
+		k.At(sim.Time(i)*125_000, func() {
+			buf[0] = byte(sent)
+			l.Send(buf)
+			if !l.Down() {
+				sent++
+			}
+		})
+	}
+	k.At(1_000_000, l.Fail)
+	k.At(1_500_000, l.Restore)
+	k.Run()
+	hits, misses, puts := pool.Stats()
+	if frames != sent || puts != uint64(sent) || hits+misses != uint64(sent) {
+		t.Fatalf("sent %d, delivered %d; pool gets %d (fresh %d), puts %d", sent, frames, hits+misses, misses, puts)
+	}
+	// 500 µs of fiber at one frame per 125 µs holds at most 5 frames.
+	if misses > 5 {
+		t.Fatalf("%d fresh buffers for at most 5 frames in flight", misses)
 	}
 }

@@ -12,26 +12,28 @@ package sim
 
 import "fmt"
 
-// boundaryItem is one deferred cross-partition event: the full dispatch key
-// plus the closure-free callback pair.
-type boundaryItem struct {
-	at, pt Time
-	lane   int32
-	seq    uint64
-	afn    func(any)
-	arg    any
+// boundaryCall is the closure-free callback pair of one cross-partition
+// event.
+type boundaryCall struct {
+	afn func(any)
+	arg any
 }
+
+func runBoundary(c boundaryCall) { c.afn(c.arg) }
 
 // Mailbox carries events across one directed partition boundary (one cut
 // link direction). Post is called only by the source partition's goroutine
 // while a window executes; drain is called only by the coordinator between
 // windows. The barrier's channel hand-offs give the happens-before edges,
-// so no locking is needed.
+// so no locking is needed. Drained items enter a DelayLine in the
+// destination kernel under their sender's keys: one cut link direction is a
+// FIFO, so the mailbox keeps one event queued there, not one per item.
 type Mailbox struct {
-	src, dst  *Kernel
+	src       *Kernel
 	lane      int32 // source partition rank, stamped on every item
 	lookahead Duration
-	items     []boundaryItem
+	items     []lineEntry[boundaryCall]
+	line      *DelayLine[boundaryCall] // in the destination kernel
 }
 
 // Post enqueues afn(arg) to run in the destination partition at absolute
@@ -41,7 +43,10 @@ type Mailbox struct {
 func (m *Mailbox) Post(at, pt Time, afn func(any), arg any) {
 	seq := m.src.seq
 	m.src.seq++
-	m.items = append(m.items, boundaryItem{at: at, pt: pt, lane: m.lane, seq: seq, afn: afn, arg: arg})
+	m.items = append(m.items, lineEntry[boundaryCall]{
+		evKey: evKey{at: at, pt: pt, lane: m.lane, seq: seq},
+		v:     boundaryCall{afn: afn, arg: arg},
+	})
 }
 
 // Lookahead reports the link propagation delay this mailbox declared.
@@ -50,13 +55,13 @@ func (m *Mailbox) Lookahead() Duration { return m.lookahead }
 // Len reports how many items are waiting to be drained.
 func (m *Mailbox) Len() int { return len(m.items) }
 
-// drain moves every queued item into the destination kernel. Coordinator
-// only, between windows.
+// drain moves every queued item into the destination kernel's line.
+// Coordinator only, between windows.
 func (m *Mailbox) drain() {
 	for i := range m.items {
 		it := &m.items[i]
-		m.dst.PostBoundary(it.at, it.pt, it.lane, it.seq, it.afn, it.arg)
-		it.afn, it.arg = nil, nil
+		m.line.push(it.evKey, it.v)
+		it.v = boundaryCall{}
 	}
 	m.items = m.items[:0]
 }
@@ -104,7 +109,8 @@ func (g *Group) Mailbox(src, dst *Kernel, lookahead Duration) *Mailbox {
 	if lookahead <= 0 {
 		panic(fmt.Sprintf("sim: mailbox lookahead %v must be positive (zero-delay links cannot cross partitions)", lookahead))
 	}
-	m := &Mailbox{src: src, dst: dst, lane: src.lane, lookahead: lookahead}
+	m := &Mailbox{src: src, lane: src.lane, lookahead: lookahead,
+		line: NewDelayLine(dst, runBoundary)}
 	g.mailboxes = append(g.mailboxes, m)
 	if lookahead < g.window {
 		g.window = lookahead

@@ -23,6 +23,20 @@
 // NewHeapKernel builds a kernel that bypasses the wheel entirely — the
 // pre-wheel scheduler, retained for golden equivalence tests.
 //
+// A DelayLine (delayline.go) keeps the queue short on long links. A fiber,
+// a switch fabric or a partition mailbox is a FIFO: what enters first
+// leaves first. Posting each cell on its own put every cell in flight in
+// the queue — ~1,800 per direction of a 5 ms STS-3c hop, all beyond the
+// wheel horizon, so all in the heap. A line instead holds its entries in a
+// ring, each with the dispatch key a Post would have given it, and keeps
+// only its head in the queue. The order is exact because the keys along a
+// FIFO increase, so the head is the line's minimum and the kernel still
+// dispatches the global minimum; an entry that would break that order (a
+// delay lowered mid-run) is posted on its own. The heap now holds only
+// timers and the heads of lines going from idle to busy; a busy line's next
+// head is due a cell time later, inside the wheel. Kernel.Tier reports how
+// many inserts went to each tier and the queue high-water marks.
+//
 // # Allocation discipline
 //
 // At and After return a *Event handle the caller may Cancel, Reschedule, or
@@ -30,7 +44,8 @@
 // allocation each.  Post and PostAfter are the fire-and-forget fast path:
 // no handle is returned, and the kernel runs the event through an internal
 // free list, so steady-state scheduling is allocation-free.  Every per-cell
-// path in the datapath schedules through Post.
+// path in the datapath schedules through Post or a DelayLine, whose ring
+// chunks are reused the same way.
 //
 // The kernel is single-goroutine: models schedule callbacks rather than
 // blocking.  This keeps runs deterministic and fast (no channel hand-offs on
@@ -108,15 +123,12 @@ const (
 // At/After stay valid after they fire (Reschedule re-queues them); events
 // scheduled with Post/PostAfter are kernel-owned and recycled at dispatch.
 type Event struct {
-	at   Time
-	pt   Time   // virtual time the event was scheduled (post time)
-	seq  uint64 // insertion order; breaks ties deterministically
-	lane int32  // scheduling partition rank; 0 on serial kernels
-	fn   func()
+	evKey
+	fn func()
 
-	// Boundary events (PostBoundary) carry their payload out-of-line so a
-	// cross-partition cell hand-off is closure-free: afn(arg) runs instead
-	// of fn. A pointer in arg does not allocate.
+	// Keyed events (PostBoundary, a DelayLine's out-of-order entries)
+	// carry their payload out-of-line so they are closure-free: afn(arg)
+	// runs instead of fn. A pointer in arg does not allocate.
 	afn func(any)
 	arg any
 
@@ -129,13 +141,23 @@ type Event struct {
 	pooled     bool   // from the Post free list; recycled at dispatch
 }
 
-// eventLess orders two events by the full dispatch key (at, pt, lane, seq).
-// On a serial kernel pt is nondecreasing in seq (the clock is monotone) and
-// lane is constant, so this collapses to the original (at, seq) order. In a
-// parallel run the extended key lets boundary events — whose seq comes from
-// a different kernel — take a deterministic position among local events:
-// first by when they were scheduled in virtual time, then by partition rank.
-func eventLess(a, b *Event) bool {
+// evKey is an event's full dispatch key (at, pt, lane, seq). A key is
+// fixed when the event is scheduled; DelayLine entries carry one each while
+// they wait behind the line's head.
+type evKey struct {
+	at   Time
+	pt   Time   // virtual time the event was scheduled (post time)
+	seq  uint64 // insertion order; breaks ties deterministically
+	lane int32  // scheduling partition rank; 0 on serial kernels
+}
+
+// less orders two keys. On a serial kernel pt is nondecreasing in seq (the
+// clock is monotone) and lane is constant, so this collapses to the original
+// (at, seq) order. In a parallel run the extended key lets boundary events —
+// whose seq comes from a different kernel — take a deterministic position
+// among local events: first by when they were scheduled in virtual time,
+// then by partition rank.
+func (a *evKey) less(b *evKey) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
@@ -147,6 +169,9 @@ func eventLess(a, b *Event) bool {
 	}
 	return a.seq < b.seq
 }
+
+// eventLess orders two events by their dispatch keys.
+func eventLess(a, b *Event) bool { return a.evKey.less(&b.evKey) }
 
 // At reports the time the event is scheduled for.
 func (e *Event) At() Time { return e.at }
@@ -196,6 +221,19 @@ type Kernel struct {
 
 	// Stats
 	dispatched uint64
+	tier       TierStats
+}
+
+// TierStats is the kernel's queue-tier telemetry: how many inserts landed in
+// each tier, and the high-water marks of the overflow heap and of all queued
+// events. It describes the simulator, not the simulated network, so it is
+// exposed only through Kernel.Tier and never enters a metrics registry
+// (snapshots stay byte-identical whatever the queue does).
+type TierStats struct {
+	WheelInserts uint64 // events placed in the timing wheel
+	HeapInserts  uint64 // events placed in the overflow heap
+	HeapHW       int    // most events ever queued in the overflow heap
+	PendingHW    int    // most events ever queued across both tiers
 }
 
 var _ Scheduler = (*Kernel)(nil)
@@ -228,8 +266,13 @@ func (k *Kernel) Lane() int32 { return k.lane }
 // Dispatched reports how many events have been executed so far.
 func (k *Kernel) Dispatched() uint64 { return k.dispatched }
 
-// Pending reports how many events are queued.
+// Pending reports how many events are queued. A DelayLine holding entries
+// counts as one: only its head is in the queue.
 func (k *Kernel) Pending() int { return k.wheelCount + len(k.overflow) }
+
+// Tier reports the queue-tier telemetry accumulated since the kernel was
+// built.
+func (k *Kernel) Tier() TierStats { return k.tier }
 
 // At schedules fn to run at absolute time at, returning a handle the caller
 // may Cancel or Reschedule. Scheduling in the past panics: a model that does
@@ -242,7 +285,7 @@ func (k *Kernel) At(at Time, fn func()) *Event {
 	if fn == nil {
 		panic("sim: schedule nil callback")
 	}
-	e := &Event{at: at, pt: k.now, lane: k.lane, seq: k.seq, fn: fn}
+	e := &Event{evKey: evKey{at: at, pt: k.now, lane: k.lane, seq: k.seq}, fn: fn}
 	k.seq++
 	k.insert(e)
 	return e
@@ -279,12 +322,13 @@ func (k *Kernel) Post(at Time, fn func()) {
 	k.insert(e)
 }
 
-// PostBoundary schedules a cross-partition event with an explicit dispatch
-// key: pt is the virtual time the sending partition scheduled it, lane the
-// sender's rank, seq a sequence number drawn from the sender's kernel. The
-// callback is the closure-free afn(arg) pair so cell hand-offs do not
-// allocate. Only Mailbox.drain should call this; like Post, the event is
-// recycled at dispatch.
+// PostBoundary schedules an event with an explicit dispatch key: pt is the
+// virtual time the sender scheduled it, lane the sender's rank, seq a
+// sequence number drawn from the sender's kernel. The callback is the
+// closure-free afn(arg) pair so cell hand-offs do not allocate. Mailboxes
+// deliver through a DelayLine keyed the same way; this single-event form is
+// what a line falls back to for an entry that would break its order. Like
+// Post, the event is recycled at dispatch.
 func (k *Kernel) PostBoundary(at, pt Time, lane int32, seq uint64, afn func(any), arg any) {
 	if at < k.now {
 		panic(fmt.Sprintf("sim: boundary event at %v before now %v (lookahead violated)", at, k.now))
@@ -299,7 +343,7 @@ func (k *Kernel) PostBoundary(at, pt Time, lane int32, seq uint64, afn func(any)
 		k.free = e.next
 		e.next = nil
 	}
-	e.at, e.pt, e.lane, e.seq = at, pt, lane, seq
+	e.evKey = evKey{at: at, pt: pt, lane: lane, seq: seq}
 	e.fn, e.afn, e.arg, e.pooled = nil, afn, arg, true
 	k.insert(e)
 }
@@ -317,16 +361,25 @@ func (k *Kernel) PostAfter(d Duration, fn func()) {
 func (k *Kernel) insert(e *Event) {
 	if !k.heapOnly && (e.at>>wheelShift)-(k.now>>wheelShift) < wheelSlots {
 		k.wheelInsert(e)
-		return
+		k.tier.WheelInserts++
+	} else {
+		k.overflow.push(e)
+		k.tier.HeapInserts++
+		if n := len(k.overflow); n > k.tier.HeapHW {
+			k.tier.HeapHW = n
+		}
 	}
-	k.overflow.push(e)
+	if n := k.wheelCount + len(k.overflow); n > k.tier.PendingHW {
+		k.tier.PendingHW = n
+	}
 }
 
 // wheelInsert links e into its slot's list, kept sorted by the full dispatch
-// key. A locally scheduled event carries the largest (pt, seq) in its lane,
-// so among equal times it lands last and the backward scan only ever skips
-// later-time events; boundary events may scan past same-time locals to take
-// their key-ordered position.
+// key. A freshly posted event carries the largest (pt, seq) in its lane, so
+// among equal times it lands last and the backward scan only ever skips
+// later-time events; boundary events and re-armed DelayLine heads, whose keys
+// were drawn earlier, may scan past same-time events to take their
+// key-ordered position.
 func (k *Kernel) wheelInsert(e *Event) {
 	s := int((e.at >> wheelShift) & wheelMask)
 	p := k.tail[s]

@@ -95,11 +95,12 @@ type Half struct {
 	running  bool
 	pending  *atm.CellBurst // burst mode: cells recovered, not yet emitted
 
-	// Pre-bound callbacks and the cell deferrer keep the per-frame tick
-	// and per-cell delivery free of closure/method-value allocations.
+	// The pre-bound tick keeps the per-frame event free of closure
+	// allocations. Recovered cells are spread over their frame's 125 µs in
+	// arrival order, so they wait in a delay line: one kernel event for the
+	// next cell due, none per cell.
 	frameTickFn func()
-	deliverFn   func(*atm.Cell)
-	def         *phy.CellDeferrer
+	spread      *sim.DelayLine[*atm.Cell]
 
 	stats Stats
 
@@ -149,8 +150,7 @@ func newHalf(k *sim.Kernel, cfg Config, src, dst *nic.Interface) *Half {
 		cellTime: units.CellTime(cfg.Rate.PayloadRate()),
 	}
 	h.frameTickFn = h.frameTick
-	h.deliverFn = h.deliverRecovered
-	h.def = phy.NewCellDeferrer(k)
+	h.spread = sim.NewDelayLine(k, h.deliverRecovered)
 	lp := "link." + src.Config().Name
 	h.queue.Instrument(cfg.Metrics, lp+".queue")
 	h.spQueue = cfg.Recorder.Stage(lp, "framer.queue")
@@ -320,7 +320,7 @@ func (h *Half) cellRecovered(cell []byte, corrected bool) {
 		}
 		return
 	}
-	h.def.Post(offset, h.deliverFn, c)
+	h.spread.Push(h.k.Now()+offset, c)
 }
 
 // flushBurst emits the accumulated recovery run as one cell vector. The wire
