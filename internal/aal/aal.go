@@ -141,3 +141,29 @@ func New(t Type, maxFrame int) (Segmenter, Reassembler) {
 		panic(fmt.Sprintf("aal: unknown type %d", t))
 	}
 }
+
+// appendGrow appends p to a reassembly buffer. A full buffer doubles its
+// capacity, starting at four cells' payload, but never past limit, the most
+// the caller's frame-size check lets it hold. So a reassembler's buffer
+// grows to its longest frame in a few steps and holds no more than limit.
+func appendGrow(buf, p []byte, limit int) []byte {
+	if n := len(buf) + len(p); n > cap(buf) {
+		c := max(min(max(2*cap(buf), 4*atm.PayloadSize), limit), n)
+		grown := make([]byte, len(buf), c)
+		copy(grown, buf)
+		buf = grown
+	}
+	return append(buf, p...)
+}
+
+// NewSegmenter returns the segmenter alone, for transmit-only users.
+func NewSegmenter(t Type) Segmenter {
+	switch t {
+	case AAL5:
+		return NewSegmenter5()
+	case AAL34:
+		return NewSegmenter34()
+	default:
+		panic(fmt.Sprintf("aal: unknown type %d", t))
+	}
+}

@@ -191,12 +191,14 @@ func (r *Reassembler34) ExpireStale(olderThan int64) int {
 }
 
 // NewReassembler34 returns an AAL3/4 reassembler with the given frame-buffer
-// bound in bytes (0 selects the maximum legal frame).
+// bound in bytes (0 selects the maximum legal frame). The buffer starts
+// empty and grows geometrically with the longest frame seen; Abort keeps
+// its capacity.
 func NewReassembler34(maxFrame int) *Reassembler34 {
 	if maxFrame <= 0 {
 		maxFrame = MaxSDU + cpcsEnvelope + sarPayload + 4
 	}
-	return &Reassembler34{buf: make([]byte, 0, maxFrame), maxFrame: maxFrame}
+	return &Reassembler34{maxFrame: maxFrame}
 }
 
 // Type implements Reassembler.
@@ -271,7 +273,7 @@ func (r *Reassembler34) Push(payload *[atm.PayloadSize]byte, pt atm.PT) (*Result
 			r.Abort()
 			return nil, ErrFrameTooLong
 		}
-		r.buf = append(r.buf, payload[2:2+li]...)
+		r.buf = appendGrow(r.buf, payload[2:2+li], r.maxFrame)
 		r.expectSN = (sn + 1) & 0xf
 		r.cells++
 		if st == stEOM {
@@ -286,7 +288,7 @@ func (r *Reassembler34) Push(payload *[atm.PayloadSize]byte, pt atm.PT) (*Result
 func (r *Reassembler34) startFrame(sn uint8, payload *[atm.PayloadSize]byte, li int) {
 	r.inFrame = true
 	r.expectSN = (sn + 1) & 0xf
-	r.buf = append(r.buf[:0], payload[2:2+li]...)
+	r.buf = appendGrow(r.buf[:0], payload[2:2+li], r.maxFrame)
 	r.cells = 1
 }
 

@@ -138,13 +138,17 @@ func (r *Reassembler5) ExpireStale(olderThan int64) int {
 	return 1
 }
 
-// NewReassembler5 returns an AAL5 reassembler whose frame buffer holds up to
-// maxFrame bytes (0 selects the maximum legal frame).
+// NewReassembler5 returns an AAL5 reassembler for frames of up to maxFrame
+// bytes (0 selects the maximum legal frame). A partial frame that has
+// passed maxFrame is discarded as ErrFrameTooLong on its next cell, so the
+// buffer never holds more than maxFrame plus one cell. It starts empty and
+// grows geometrically with the longest frame seen; Abort keeps its
+// capacity, so a steady flow stops allocating after its first frame.
 func NewReassembler5(maxFrame int) *Reassembler5 {
 	if maxFrame <= 0 {
 		maxFrame = MaxSDU + trailerSize + atm.PayloadSize
 	}
-	return &Reassembler5{buf: make([]byte, 0, maxFrame), maxFrame: maxFrame}
+	return &Reassembler5{maxFrame: maxFrame}
 }
 
 // Type implements Reassembler.
@@ -182,7 +186,7 @@ func (r *Reassembler5) Push(payload *[atm.PayloadSize]byte, pt atm.PT) (*Result,
 		r.crcReg = 0xffff_ffff
 		r.cells = 0
 	}
-	r.buf = append(r.buf, payload[:]...)
+	r.buf = appendGrow(r.buf, payload[:], r.maxFrame+atm.PayloadSize)
 	r.cells++
 	if !pt.EndOfFrame() {
 		r.crcReg = crc.CRC32Update(r.crcReg, payload[:])

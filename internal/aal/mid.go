@@ -22,6 +22,7 @@ type MIDReassembler34 struct {
 	maxFrame int
 	maxMIDs  int
 	streams  map[uint16]*Reassembler34
+	spare    []*Reassembler34 // idle streams, kept for their grown buffers
 	vst      *metrics.VCStats
 	pool     *bufpool.Pool
 	clock    func() int64
@@ -77,7 +78,7 @@ func (m *MIDReassembler34) ExpireStale(olderThan int64) int {
 			n++
 		}
 		if !ras.inFrame {
-			delete(m.streams, uint16(mid))
+			m.release(uint16(mid), ras)
 		}
 	}
 	return n
@@ -116,7 +117,12 @@ func (m *MIDReassembler34) Push(payload *[atm.PayloadSize]byte, pt atm.PT) (uint
 		if len(m.streams) >= m.maxMIDs {
 			return mid, nil, fmt.Errorf("%w: %d active", ErrTooManyMIDs, len(m.streams))
 		}
-		ras = NewReassembler34(m.maxFrame)
+		if n := len(m.spare); n > 0 {
+			ras = m.spare[n-1]
+			m.spare = m.spare[:n-1]
+		} else {
+			ras = NewReassembler34(m.maxFrame)
+		}
 		ras.SetVCStats(m.vst)
 		ras.SetPool(m.pool)
 		ras.SetClock(m.clock)
@@ -126,9 +132,16 @@ func (m *MIDReassembler34) Push(payload *[atm.PayloadSize]byte, pt atm.PT) (uint
 	// Reclaim state when the stream returns to idle: a completed frame or
 	// a mid-frame abort both leave the sub-reassembler out of frame.
 	if res != nil || (err != nil && !ras.inFrame) {
-		delete(m.streams, mid)
+		m.release(mid, ras)
 	}
 	return mid, res, err
+}
+
+// release retires an idle MID slot. Its reassembler is kept for the next
+// new MID, so the buffer it grew is reused rather than grown again.
+func (m *MIDReassembler34) release(mid uint16, ras *Reassembler34) {
+	delete(m.streams, mid)
+	m.spare = append(m.spare, ras)
 }
 
 // ActiveMIDs reports the number of frames currently mid-reassembly.
@@ -138,6 +151,6 @@ func (m *MIDReassembler34) ActiveMIDs() int { return len(m.streams) }
 func (m *MIDReassembler34) Abort() {
 	for mid, ras := range m.streams {
 		ras.Abort()
-		delete(m.streams, mid)
+		m.release(mid, ras)
 	}
 }

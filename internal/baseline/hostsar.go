@@ -92,7 +92,7 @@ func NewHostSAR(k *sim.Kernel, cfg Config, hst *host.Host, b *bus.Bus) *HostSAR 
 	if cfg.MaxSDU <= 0 || cfg.MaxSDU > aal.MaxSDU {
 		cfg.MaxSDU = aal.MaxSDU
 	}
-	seg, _ := aal.New(cfg.AAL, 0)
+	seg := aal.NewSegmenter(cfg.AAL)
 	h := &HostSAR{
 		k: k, hst: hst, dev: b.Attach("hostsar"),
 		pioTime:  sim.Duration(cellPIOWords) * b.Config().PIOTime,

@@ -225,6 +225,8 @@ type Network struct {
 	k   *sim.Kernel       // serial builds only; nil when sharded
 	reg *metrics.Registry // serial builds only; nil when sharded
 	rec *trace.Recorder   // serial builds: the spec's recorder (may be nil)
+	// One cell pool per kernel, in partition order (one on a serial build).
+	pools []*atm.Pool
 
 	// Sharded builds: one kernel/registry/recorder per partition, driven in
 	// lock-step by the group. All nil/empty on serial builds.
@@ -294,9 +296,11 @@ func NewNetwork(spec NetworkSpec) (*Network, error) {
 		n.kernels = make([]*sim.Kernel, plan.shards)
 		n.regs = make([]*metrics.Registry, plan.shards)
 		n.recs = make([]*trace.Recorder, plan.shards)
+		n.pools = make([]*atm.Pool, plan.shards)
 		for i := range n.kernels {
 			n.kernels[i] = sim.NewKernel()
 			n.regs[i] = metrics.NewRegistry()
+			n.pools[i] = atm.NewPool(0)
 			if spec.Recorder != nil {
 				n.recs[i] = trace.NewRecorder(n.kernels[i], spec.Recorder.Capacity())
 			}
@@ -312,6 +316,7 @@ func NewNetwork(spec NetworkSpec) (*Network, error) {
 			n.reg = metrics.NewRegistry()
 		}
 		n.rec = spec.Recorder
+		n.pools = []*atm.Pool{atm.NewPool(0)}
 	}
 	for _, es := range spec.Endpoints {
 		if es.Name == "" {
@@ -322,6 +327,7 @@ func NewNetwork(spec NetworkSpec) (*Network, error) {
 		}
 		cfg := es.Options.nicConfig(es.Name)
 		cfg.Metrics = n.regFor(es.Name)
+		cfg.CellPool = n.poolFor(es.Name)
 		ek := n.kernelFor(es.Name)
 		var st *netsim.Station
 		var err error
@@ -351,6 +357,7 @@ func NewNetwork(spec NetworkSpec) (*Network, error) {
 		sw := netsim.NewSwitch(n.kernelFor(ss.Name), ss.Name, ss.Ports, ss.Rate, ss.QueueDepth)
 		sw.SwitchingDelay = ss.SwitchingDelay
 		sw.AISPeriod = ss.AISPeriod
+		sw.SetCellPool(n.poolFor(ss.Name))
 		sw.Instrument(n.regFor(ss.Name), ss.Name)
 		if ss.EFCIThreshold > 0 {
 			for p := 0; p < ss.Ports; p++ {
@@ -426,9 +433,11 @@ func NewNetwork(spec NetworkSpec) (*Network, error) {
 		fwd := phy.NewCellLink(kA, delay, ls.Seed*2+1, n.consumer(ls.B))
 		fwd.LossProb = ls.LossProb
 		fwd.CorruptProb = ls.CorruptProb
+		fwd.SetCellPool(n.poolFor(ls.A.Node))
 		rev := phy.NewCellLink(kB, delay, ls.Seed*2+2, n.consumer(ls.A))
 		rev.LossProb = ls.LossProb
 		rev.CorruptProb = ls.CorruptProb
+		rev.SetCellPool(n.poolFor(ls.B.Node))
 		n.producer(ls.A).AttachSink(fwd)
 		n.producer(ls.B).AttachSink(rev)
 		if n.group != nil && n.shardOf[ls.A.Node] != n.shardOf[ls.B.Node] {
@@ -437,8 +446,11 @@ func NewNetwork(spec NetworkSpec) (*Network, error) {
 			// Arrival-side trace events land on the destination partition's
 			// recorder under the same stage names the attach loop below gives
 			// the send side, so merged traces pair up like a serial run's.
-			fwd.SetBoundary(n.group.Mailbox(kA, kB, delay), n.recFor(ls.B.Node), ls.Name+".fwd")
-			rev.SetBoundary(n.group.Mailbox(kB, kA, delay), n.recFor(ls.A.Node), ls.Name+".rev")
+			// Each crossing cell is exchanged at the barrier for one from
+			// the destination kernel's pool, so every pool stays private
+			// to its partition and is conserved on its own.
+			fwd.SetBoundary(n.group.Mailbox(kA, kB, delay), n.recFor(ls.B.Node), ls.Name+".fwd", n.poolFor(ls.B.Node))
+			rev.SetBoundary(n.group.Mailbox(kB, kA, delay), n.recFor(ls.A.Node), ls.Name+".rev", n.poolFor(ls.A.Node))
 		}
 		// Carrier state reaches the receiving node directly, even when a
 		// latency tap later wraps the link's cell sink: losing the light
@@ -563,6 +575,14 @@ func (n *Network) recFor(node string) *trace.Recorder {
 		return n.recs[n.shardOf[node]]
 	}
 	return n.rec
+}
+
+// poolFor returns the cell pool of the named node's kernel. Every
+// component on one kernel shares it: interfaces, switches and link halves
+// take cells from it and return every cell they finish with, drops
+// included.
+func (n *Network) poolFor(node string) *atm.Pool {
+	return n.pools[n.shardOf[node]] // shardOf is nil, so 0, when serial
 }
 
 func (n *Network) known(name string) bool {

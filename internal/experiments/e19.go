@@ -99,6 +99,34 @@ func E19(fracs []float64, runTime sim.Duration) ([]E19Point, *report.Series) {
 }
 
 func runE19(frac float64, epd bool, runTime sim.Duration) E19Point {
+	net, flows, depth := buildE19(frac, epd)
+	kern := net.Kernel()
+	deadline := sim.Time(runTime)
+	kern.RunUntil(deadline)
+	var delivered uint64
+	pt := E19Point{BufferFrac: frac, EPD: epd, BufferCells: depth}
+	for _, f := range flows {
+		delivered += f.Delivered()
+		st := f.Sender.Stats()
+		pt.Retransmits += st.Retransmits
+		pt.Timeouts += st.Timeouts
+		pt.FastRetx += st.FastRetransmits
+		f.Stop()
+	}
+	kern.Run()
+
+	pt.GoodputBps = units.ThroughputBps(int64(delivered), deadline)
+	pt.Efficiency = pt.GoodputBps / sduCeilingBps(units.STS3cPayload, e19MSS, e19FrameCells)
+	sws := net.Switch("sw").Stats()
+	pt.TailDropped = sws.Dropped
+	pt.EPDCells = sws.EPDCells
+	pt.PPDCells = sws.PPDCells
+	return pt
+}
+
+// buildE19 builds one E19 topology with its flows' starts scheduled, and
+// returns it with the switch buffer depth in cells.
+func buildE19(frac float64, epd bool) (*core.Network, []*tcp.Flow, int) {
 	depth := int(frac * float64(e19BDPCells()))
 	if depth < e19FrameCells {
 		depth = e19FrameCells
@@ -163,28 +191,7 @@ func runE19(frac float64, epd bool, runTime sim.Duration) E19Point {
 		start := sim.Duration(i) * e19RTT / 4
 		kern.After(start, func() { f.Start(0, nil) })
 	}
-
-	deadline := sim.Time(runTime)
-	kern.RunUntil(deadline)
-	var delivered uint64
-	pt := E19Point{BufferFrac: frac, EPD: epd, BufferCells: depth}
-	for _, f := range flows {
-		delivered += f.Delivered()
-		st := f.Sender.Stats()
-		pt.Retransmits += st.Retransmits
-		pt.Timeouts += st.Timeouts
-		pt.FastRetx += st.FastRetransmits
-		f.Stop()
-	}
-	kern.Run()
-
-	pt.GoodputBps = units.ThroughputBps(int64(delivered), deadline)
-	pt.Efficiency = pt.GoodputBps / sduCeilingBps(units.STS3cPayload, e19MSS, e19FrameCells)
-	sws := net.Switch("sw").Stats()
-	pt.TailDropped = sws.Dropped
-	pt.EPDCells = sws.EPDCells
-	pt.PPDCells = sws.PPDCells
-	return pt
+	return net, flows, depth
 }
 
 // String is used by atmbench's verbose output.

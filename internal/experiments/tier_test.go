@@ -30,3 +30,34 @@ func TestE19HeapHoldsOnlyTimersAndLineHeads(t *testing.T) {
 		t.Errorf("queue high-water: heap %d, pending %d; want both under 100", ts.HeapHW, ts.PendingHW)
 	}
 }
+
+// Every component on E19's kernel shares one cell pool and returns every
+// cell it finishes with, so the pool allocates only while the flows' slow
+// starts push the cells in flight to a new peak. That peak is bounded by
+// the path (the bandwidth-delay product plus the switch buffer, plus a
+// frame per flow), not by the traffic carried, and once the windows have
+// opened (about five RTTs) fresh allocations stop. (With a pool per
+// interface, the senders allocated nearly every cell they sent and the
+// receiver's free list grew with every cell delivered.)
+func TestE19PoolStopsAllocatingAfterSlowStart(t *testing.T) {
+	net, _, depth := buildE19(0.5, true)
+	k := net.Kernel()
+	pool := net.Endpoint("a").Interface().Pool()
+	if pool != net.Endpoint("c").Interface().Pool() {
+		t.Fatal("endpoints on one kernel have different cell pools")
+	}
+	k.RunUntil(sim.Time(8 * e19RTT))
+	_, _, warm := pool.Stats()
+	k.RunUntil(sim.Time(300 * sim.Millisecond))
+	gets, _, fresh := pool.Stats()
+	if fresh-warm > e19FrameCells {
+		t.Errorf("%d fresh cells after %v of warm-up (%d before), want at most %d",
+			fresh-warm, 8*e19RTT, warm, e19FrameCells)
+	}
+	if limit := uint64(e19BDPCells() + depth + e19Flows*e19FrameCells); fresh > limit {
+		t.Errorf("%d fresh cells for %d gets, want at most the %d cells the path holds", fresh, gets, limit)
+	}
+	if gets < 4*fresh {
+		t.Errorf("%d gets for %d fresh cells: the pool is barely recycling", gets, fresh)
+	}
+}

@@ -75,6 +75,10 @@ func Connect(k *sim.Kernel, a, b *Station, cfg LinkConfig) (ab, ba *phy.CellLink
 	ba = phy.NewCellLink(k, cfg.Delay, cfg.Seed*2+2, a.Iface)
 	ba.LossProb = cfg.LossProb
 	ba.CorruptProb = cfg.CorruptProb
+	// Cells the fibers lose go back to the pool of the sender they came
+	// from, which draws from it again.
+	ab.SetCellPool(a.Iface.Pool())
+	ba.SetCellPool(b.Iface.Pool())
 	a.Iface.AttachSink(ab)
 	b.Iface.AttachSink(ba)
 	return ab, ba
@@ -102,6 +106,8 @@ func ConnectBaseline(k *sim.Kernel, a, b *BaselineStation, cfg LinkConfig) (ab, 
 	ab.LossProb = cfg.LossProb
 	ba = phy.NewCellLink(k, cfg.Delay, cfg.Seed*2+2, a.Adapter)
 	ba.LossProb = cfg.LossProb
+	ab.SetCellPool(a.Adapter.Pool())
+	ba.SetCellPool(b.Adapter.Pool())
 	a.Adapter.AttachSink(ab)
 	b.Adapter.AttachSink(ba)
 	return ab, ba

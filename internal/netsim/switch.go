@@ -43,6 +43,7 @@ import (
 type Switch struct {
 	k        *sim.Kernel
 	name     string
+	pool     *atm.Pool // multicast clones and AIS come from it, drops go back
 	ports    []*swPort
 	conduits []*SwitchPort
 	table    map[swKey]*swRoute
@@ -172,6 +173,7 @@ func NewSwitch(k *sim.Kernel, name string, nPorts int, rate units.BitRate, queue
 	s := &Switch{
 		k:        k,
 		name:     name,
+		pool:     atm.NewPool(0),
 		table:    make(map[swKey]*swRoute),
 		policers: make(map[swKey]*swPolicer),
 		portDown: make([]bool, nPorts),
@@ -195,6 +197,13 @@ func NewSwitch(k *sim.Kernel, name string, nPorts int, rate units.BitRate, queue
 	}
 	return s
 }
+
+// SetCellPool makes the switch share its kernel's cell pool: multicast
+// copies and AIS cells are taken from p, and every cell the switch drops
+// (tail drop, EPD, PPD, CLP threshold, policer discard, no route) goes back
+// to it. The cells arriving at the switch must come from p too. Without it
+// the switch keeps a private pool. Call before any cell arrives.
+func (s *Switch) SetCellPool(p *atm.Pool) { s.pool = p }
 
 // SetPortRate overrides one output port's drain rate — a switch bridging a
 // 622 Mb/s backbone to 155 Mb/s edges is the canonical rate-mismatch
@@ -328,7 +337,9 @@ func (s *Switch) aisTick() {
 		for _, d := range s.table[key].dests {
 			s.stats.AISCells++
 			s.mAIS.Inc()
-			s.deferEnqueue(d, oam.NewAIS(d.outVC, loc))
+			c := s.pool.Get()
+			*c = *oam.NewAIS(d.outVC, loc)
+			s.deferEnqueue(d, c)
 		}
 	}
 	s.k.PostAfter(s.AISPeriod, s.aisTickFn)
@@ -414,6 +425,7 @@ func (s *Switch) receive(port int, c *atm.Cell) {
 			s.stats.PolicedDiscarded++
 			s.mPolDrp.Inc()
 			sp.vcs.Drop(metrics.DropPolicedDiscard)
+			s.pool.Put(c)
 			return
 		case tm.TagCLP:
 			c.Header.CLP = true
@@ -426,6 +438,7 @@ func (s *Switch) receive(port int, c *atm.Cell) {
 	if !ok {
 		s.stats.NoRoute++
 		s.mNoRt.Inc()
+		s.pool.Put(c)
 		return
 	}
 	if c.Header.PT == atm.PTResourceMgmt {
@@ -441,8 +454,8 @@ func (s *Switch) receive(port int, c *atm.Cell) {
 	for i, d := range rt.dests {
 		out := c
 		if i > 0 {
-			clone := *c // replication: the fabric copies the cell per leaf
-			out = &clone
+			out = s.pool.Get() // replication: the fabric copies the cell per leaf
+			*out = *c
 		}
 		out.Header.VPI, out.Header.VCI = d.outVC.VPI, d.outVC.VCI
 		s.deferEnqueue(d, out)
@@ -513,6 +526,7 @@ func (s *Switch) enqueue(d swDest, c *atm.Cell) {
 			if eof {
 				fs.inFrame = false
 			}
+			s.pool.Put(c)
 			return
 		}
 	}
@@ -543,6 +557,7 @@ func (s *Switch) enqueue(d swDest, c *atm.Cell) {
 				s.stats.PPDFrames++
 			}
 		}
+		s.pool.Put(c)
 		return
 	}
 
@@ -604,6 +619,8 @@ func (s *Switch) drain(port int) {
 	p.spQueue.Exit(cell.Header.VC())
 	if p.out != nil {
 		p.out.DeliverCell(cell)
+	} else {
+		s.pool.Put(cell)
 	}
 	if p.occ == 0 {
 		p.draining = false

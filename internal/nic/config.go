@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/aal"
+	"repro/internal/atm"
 	"repro/internal/bufmgr"
 	"repro/internal/engine"
 	"repro/internal/metrics"
@@ -117,6 +118,13 @@ type Config struct {
 	// single unified snapshot. Nil means the interface creates a private
 	// registry, reachable via Interface.Metrics.
 	Metrics *metrics.Registry
+	// CellPool is the cell pool of the kernel the interface runs on: the
+	// transmit side takes its cells from it, and the receive side returns
+	// every cell it consumes or drops to it. Several interfaces (and the
+	// switches and links on the same kernel) may share one pool; it must
+	// never be shared across kernels that run concurrently. Nil means the
+	// interface creates a private pool, reachable via Interface.Pool.
+	CellPool *atm.Pool
 }
 
 // DefaultConfig returns the as-built board: STS-3c, AAL5 firmware, 25 MHz

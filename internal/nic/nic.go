@@ -70,11 +70,15 @@ func New(k *sim.Kernel, cfg Config, hst *host.Host, b *bus.Bus) (*Interface, err
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
+	pool := cfg.CellPool
+	if pool == nil {
+		pool = atm.NewPool(cfg.TxFifoDepth + cfg.RxEngines*cfg.RxFifoDepth + 64)
+	}
 	i := &Interface{
 		k:        k,
 		cfg:      cfg,
 		hst:      hst,
-		pool:     atm.NewPool(cfg.TxFifoDepth + cfg.RxEngines*cfg.RxFifoDepth + 64),
+		pool:     pool,
 		buf:      bufpool.New(),
 		txEngine: engine.New(k, cfg.Name+".txeng", cfg.Engine),
 		txDev:    b.Attach(cfg.Name + ".txdma"),
@@ -195,8 +199,10 @@ func (i *Interface) Config() Config { return i.cfg }
 // Host returns the attached host model.
 func (i *Interface) Host() *host.Host { return i.hst }
 
-// Pool returns the interface's cell pool; links that deliver cells into
-// this interface should draw from it so cells recycle.
+// Pool returns the interface's cell pool: the kernel's shared pool when
+// Config.CellPool supplied one, else the interface's private pool. Links
+// that deliver cells into this interface take cells from its Pool, and the
+// interface returns every cell it receives to it.
 func (i *Interface) Pool() *atm.Pool { return i.pool }
 
 // BufferPool returns the interface's SDU buffer pool. Send draws its copy
@@ -371,7 +377,7 @@ func (i *Interface) SendOwned(vc atm.VC, sdu []byte, onSent func()) error {
 }
 
 // DeliverCell is the link-side entry point for arriving cells. The cell
-// must come from (or be returned to) this interface's Pool.
+// must come from this interface's Pool, to which the interface returns it.
 func (i *Interface) DeliverCell(c *atm.Cell) { i.rx.deliverCell(c) }
 
 // DeliverBurst implements atm.BurstConsumer by re-spreading the vector into

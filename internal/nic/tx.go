@@ -200,7 +200,7 @@ func (t *transmitter) open(vc atm.VC) {
 	if _, ok := t.vcs[vc]; ok {
 		return
 	}
-	seg, _ := aal.New(t.cfg.AAL, 0)
+	seg := aal.NewSegmenter(t.cfg.AAL)
 	st := &txVC{vc: vc, t: t, seg: seg, vst: t.reg.VC(vc.VPI, vc.VCI)}
 	st.stageDoneFn = st.stageDone
 	t.vcs[vc] = st

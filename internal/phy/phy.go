@@ -60,6 +60,7 @@ type CellLink struct {
 	stats Stats
 	down  bool
 	sig   SignalConsumer // explicit signal sink; nil = auto-detect on sink
+	pool  *atm.Pool      // the sending kernel's: lost cells go back here
 
 	// Cells in flight: the fiber is a FIFO, so it holds one kernel event
 	// for the cell at its head rather than one per cell.
@@ -76,6 +77,7 @@ type CellLink struct {
 	// trace events) runs unchanged in the source partition, so the rng
 	// sequence matches the serial projection draw for draw.
 	mb             *sim.Mailbox
+	arrivalPool    *atm.Pool // the destination kernel's
 	remoteFn       func(any) // bound remote-arrival method
 	remoteSignalFn func(any)
 	exitSp         *trace.StageSpan // arrival span on the DEST partition's recorder
@@ -91,7 +93,7 @@ func NewCellLink(k *sim.Kernel, delay sim.Duration, seed uint64, sink atm.CellCo
 	if sink == nil {
 		panic("phy: nil sink")
 	}
-	l := &CellLink{k: k, Delay: delay, rng: sim.NewRand(seed), sink: sink}
+	l := &CellLink{k: k, Delay: delay, rng: sim.NewRand(seed), sink: sink, pool: atm.NewPool(0)}
 	l.def = NewCellDeferrer(k)
 	l.deliverFn = l.deliver
 	l.line = sim.NewDelayLine(k, l.deliverFn)
@@ -120,14 +122,40 @@ func (l *CellLink) SetRecorder(rec *trace.Recorder, name string) {
 // trace events are recorded on rec — the DESTINATION partition's recorder —
 // under the same stage name SetRecorder used on the source side, so the
 // merged trace pairs up exactly like a serial run's. rec may be nil.
-func (l *CellLink) SetBoundary(mb *sim.Mailbox, rec *trace.Recorder, name string) {
+//
+// arrival is the destination kernel's cell pool. Each kernel's pool stays
+// its own: as the barrier drains the mailbox, each crossing cell is copied
+// into a cell taken from arrival, and the original goes back to the link's
+// own pool (SetCellPool). The copy runs on the coordinator with every
+// partition stopped, so neither pool is ever touched by two goroutines.
+func (l *CellLink) SetBoundary(mb *sim.Mailbox, rec *trace.Recorder, name string, arrival *atm.Pool) {
 	if l.Delay <= 0 {
 		panic("phy: boundary link needs positive propagation delay (lookahead)")
 	}
 	l.mb = mb
+	l.arrivalPool = arrival
 	l.exitSp = rec.Stage(name, "wire")
 	l.remoteFn = l.remoteDeliver
 	l.remoteSignalFn = l.remoteSignal
+	mb.SetHandoff(l.handoff)
+}
+
+// SetCellPool makes the link share its sending kernel's cell pool: every
+// cell the fiber loses (link down or random loss) goes back to p. Without
+// it the link keeps a private pool.
+func (l *CellLink) SetCellPool(p *atm.Pool) { l.pool = p }
+
+// handoff exchanges one crossing cell for a copy owned by the destination
+// kernel. Signal transitions share the mailbox and pass through untouched.
+func (l *CellLink) handoff(arg any) any {
+	c, ok := arg.(*atm.Cell)
+	if !ok {
+		return arg
+	}
+	d := l.arrivalPool.Get()
+	*d = *c
+	l.pool.Put(c)
+	return d
 }
 
 // remoteDeliver runs in the destination partition's kernel at the cell's
@@ -222,11 +250,13 @@ func (l *CellLink) Send(c *atm.Cell) {
 		l.stats.Lost++
 		l.stats.DroppedDown++
 		l.sp.Drop(c.Header.VC(), metrics.DropLink)
+		l.pool.Put(c)
 		return
 	}
 	if l.LossProb > 0 && l.rng.Bernoulli(l.LossProb) {
 		l.stats.Lost++
 		l.sp.Drop(c.Header.VC(), metrics.DropLink)
+		l.pool.Put(c)
 		return
 	}
 	if l.CorruptProb > 0 && l.rng.Bernoulli(l.CorruptProb) {
@@ -270,6 +300,7 @@ func (l *CellLink) DeliverBurst(b *atm.CellBurst) {
 		if drop {
 			l.stats.Lost++
 			l.sp.DropAt(sim.Time(b.At(i)), c.Header.VC(), metrics.DropLink)
+			l.pool.Put(c)
 			b.Cells[i] = nil
 			lossy = true
 			continue

@@ -373,7 +373,7 @@ func TestCellLinkBoundaryMatchesSerial(t *testing.T) {
 		l.LossProb, l.CorruptProb = 0.05, 0.2
 		l.SetSignalSink(signalFunc(func(up bool) { fmt.Fprintf(&b, "%d signal %v\n", dst.Now(), up) }))
 		if sharded {
-			l.SetBoundary(g.Mailbox(src, dst, l.Delay), nil, "l")
+			l.SetBoundary(g.Mailbox(src, dst, l.Delay), nil, "l", atm.NewPool(0))
 		}
 		for i := 0; i < 400; i++ {
 			c := &atm.Cell{}

@@ -10,7 +10,10 @@
 // the lock-step window playing the role of the null message.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // boundaryCall is the closure-free callback pair of one cross-partition
 // event.
@@ -34,6 +37,7 @@ type Mailbox struct {
 	lookahead Duration
 	items     []lineEntry[boundaryCall]
 	line      *DelayLine[boundaryCall] // in the destination kernel
+	handoff   func(any) any            // optional argument exchange at drain
 }
 
 // Post enqueues afn(arg) to run in the destination partition at absolute
@@ -49,6 +53,13 @@ func (m *Mailbox) Post(at, pt Time, afn func(any), arg any) {
 	})
 }
 
+// SetHandoff installs fn to run on every item's argument as the barrier
+// drains it, replacing the argument with fn's result. fn runs on the
+// coordinator while every partition is stopped, so it may touch state owned
+// by both the source and the destination partition: a cut link uses it to
+// exchange each crossing cell for one from the destination kernel's pool.
+func (m *Mailbox) SetHandoff(fn func(arg any) any) { m.handoff = fn }
+
 // Lookahead reports the link propagation delay this mailbox declared.
 func (m *Mailbox) Lookahead() Duration { return m.lookahead }
 
@@ -60,6 +71,9 @@ func (m *Mailbox) Len() int { return len(m.items) }
 func (m *Mailbox) drain() {
 	for i := range m.items {
 		it := &m.items[i]
+		if m.handoff != nil {
+			it.v.arg = m.handoff(it.v.arg)
+		}
 		m.line.push(it.evKey, it.v)
 		it.v = boundaryCall{}
 	}
@@ -79,6 +93,7 @@ type Group struct {
 	started bool
 	work    []chan Time // per-shard window limit
 	done    chan struct{}
+	workers sync.WaitGroup
 }
 
 // NewGroup builds an executor over the given kernels, assigning each its
@@ -134,7 +149,9 @@ func (g *Group) start() {
 	for i, k := range g.kernels {
 		ch := make(chan Time)
 		g.work[i] = ch
+		g.workers.Add(1)
 		go func(k *Kernel, ch chan Time) {
+			defer g.workers.Done()
 			for limit := range ch {
 				k.RunBefore(limit)
 				g.done <- struct{}{}
@@ -143,7 +160,9 @@ func (g *Group) start() {
 	}
 }
 
-// Close stops the worker goroutines. The group cannot be run afterwards.
+// Close stops the worker goroutines and returns once they have exited, so
+// nothing of the group's kernels stays reachable from a worker's stack. The
+// group cannot be run afterwards.
 func (g *Group) Close() {
 	if !g.started {
 		return
@@ -151,6 +170,7 @@ func (g *Group) Close() {
 	for _, ch := range g.work {
 		close(ch)
 	}
+	g.workers.Wait()
 	g.started = false
 	g.work = nil
 }

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -135,6 +137,27 @@ func TestGroupIdleJump(t *testing.T) {
 	g.Run()
 	if n != 50 {
 		t.Fatalf("dispatched %d, want 50", n)
+	}
+}
+
+// TestGroupCloseWaitsForWorkers pins that Close returns only after the
+// worker goroutines have exited. A worker still parked on its closed
+// channel keeps its kernel, and everything the kernel's events reference,
+// reachable, so a collection right after Close would count a whole
+// finished network as live.
+func TestGroupCloseWaitsForWorkers(t *testing.T) {
+	stacks := make([]byte, 1<<20)
+	for i := 0; i < 20; i++ {
+		ka, kb := NewKernel(), NewKernel()
+		g := NewGroup([]*Kernel{ka, kb})
+		g.Mailbox(ka, kb, 10)
+		ka.Post(1, func() {})
+		g.Run()
+		g.Close()
+		n := runtime.Stack(stacks, true)
+		if at := bytes.Index(stacks[:n], []byte("(*Group).start")); at >= 0 {
+			t.Fatalf("round %d: a worker outlived Close:\n%s", i, stacks[max(0, at-200):min(n, at+200)])
+		}
 	}
 }
 

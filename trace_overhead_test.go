@@ -85,6 +85,10 @@ func TestTraceDisabledZeroAllocs(t *testing.T) {
 	// One warm-up exchange each: pools fill, lazy maps settle.
 	base.exchange(t)
 	traced.exchange(t)
+	// The process's first collection starts the runtime's mark workers,
+	// which allocates; collect once now so that start-up is billed to
+	// neither world, wherever the heap's growth would have put it.
+	runtime.GC()
 	baseAllocs := testing.AllocsPerRun(5, func() { base.exchange(t) })
 	tracedAllocs := testing.AllocsPerRun(5, func() { traced.exchange(t) })
 	if tracedAllocs != baseAllocs {
