@@ -26,14 +26,16 @@ import (
 //     (cells lost while down, AIS from the switch, RDI from e that the
 //     switch cannot route);
 //   - b's engine is too slow for its FIFO (receive FIFO overflow), and a
-//     damaged OAM cell is sent to it (bad OAM).
+//     damaged OAM cell is sent to it (bad OAM);
+//   - f sends to g over a SONET-framed link that damages every frame
+//     (cells lost to header damage, SDUs lost to AAL errors).
 func dropWorld(t *testing.T, sharded bool) *Network {
 	t.Helper()
 	spec := NetworkSpec{
 		Endpoints: []EndpointSpec{
 			{Name: "a"}, {Name: "c"},
 			{Name: "b", Options: Options{EngineMHz: 2, FifoCells: 8}},
-			{Name: "d"}, {Name: "e"},
+			{Name: "d"}, {Name: "e"}, {Name: "f"}, {Name: "g"},
 		},
 		Switches: []SwitchSpec{{Name: "s", Ports: 5, QueueDepth: 24, AISPeriod: 100 * sim.Microsecond}},
 		Links: []LinkSpec{
@@ -42,6 +44,7 @@ func dropWorld(t *testing.T, sharded bool) *Network {
 			{Name: "cs", A: NodeRef{Node: "c"}, B: NodeRef{Node: "s", Port: 2}, Delay: 20_000, Seed: 3},
 			{Name: "sd", A: NodeRef{Node: "s", Port: 3}, B: NodeRef{Node: "d"}, Delay: 50_000, LossProb: 2e-3, Seed: 4},
 			{Name: "se", A: NodeRef{Node: "s", Port: 4}, B: NodeRef{Node: "e"}, Delay: 50_000, Seed: 5},
+			{Name: "fg", A: NodeRef{Node: "f"}, B: NodeRef{Node: "g"}, Delay: 20_000, Seed: 6, Framed: true, BitErrProb: 1},
 		},
 		VCCs: []VCCSpec{
 			{Name: "ab", From: "a", To: "b", VC: VC{VCI: 100}},
@@ -49,10 +52,11 @@ func dropWorld(t *testing.T, sharded bool) *Network {
 			{Name: "ad", From: "a", To: "d", VC: VC{VCI: 102}},
 			{Name: "cd", From: "c", To: "d", VC: VC{VCI: 103}},
 			{Name: "ae", From: "a", To: "e", VC: VC{VCI: 104}},
+			{Name: "fg", From: "f", To: "g", VC: VC{VCI: 105}},
 		},
 	}
 	if sharded {
-		spec.Partitions = [][]string{{"a", "c", "s"}, {"b", "d", "e"}}
+		spec.Partitions = [][]string{{"a", "c", "s"}, {"b", "d", "e", "f", "g"}}
 	}
 	n, err := NewNetwork(spec)
 	if err != nil {
@@ -99,6 +103,7 @@ func dropWorld(t *testing.T, sharded bool) *Network {
 	}
 	send("a", n.VCC("ab").SourceVC, n.VCC("ad").SourceVC, n.VCC("ae").SourceVC, noRoute)
 	send("c", n.VCC("cb").SourceVC, n.VCC("cd").SourceVC)
+	send("f", n.VCC("fg").SourceVC)
 
 	ka, ks := n.NodeKernel("a"), n.NodeKernel("s")
 	as, se := n.Link("as").Fwd, n.Link("se").Fwd
@@ -141,32 +146,36 @@ func TestCellConservation(t *testing.T) {
 		}
 
 		sw := n.Switch("s").Stats()
-		b, e := n.Endpoint("b").Stats().Rx, n.Endpoint("e").Stats().Rx
+		b, e, g := n.Endpoint("b").Stats().Rx, n.Endpoint("e").Stats().Rx, n.Endpoint("g").Stats().Rx
 		as, sd, se := n.Link("as").Fwd.Stats(), n.Link("sd").Fwd.Stats(), n.Link("se").Fwd.Stats()
 		for cause, count := range map[string]uint64{
-			"switch tail drop":       sw.Dropped,
-			"switch EPD":             sw.EPDCells,
-			"switch PPD":             sw.PPDCells,
-			"switch CLP threshold":   sw.CLPDropped,
-			"policer tag":            sw.PolicedTagged,
-			"policer discard":        sw.PolicedDiscarded,
-			"switch no route":        sw.NoRoute,
-			"multicast":              sw.Broadcasts,
-			"AIS":                    sw.AISCells,
-			"link random loss (as)":  as.Lost - as.DroppedDown,
-			"link random loss (sd)":  sd.Lost,
-			"link down (as)":         as.DroppedDown,
-			"link down (se)":         se.DroppedDown,
-			"NIC receive FIFO (b)":   b.FifoDrops,
-			"NIC bad OAM (b)":        b.BadOAM,
-			"NIC unknown VC (e)":     e.UnknownVC,
-			"NIC fault mgmt (e) RDI": n.Endpoint("e").Interface().FMStats().RDITx,
+			"switch tail drop":         sw.Dropped,
+			"switch EPD":               sw.EPDCells,
+			"switch PPD":               sw.PPDCells,
+			"switch CLP threshold":     sw.CLPDropped,
+			"policer tag":              sw.PolicedTagged,
+			"policer discard":          sw.PolicedDiscarded,
+			"switch no route":          sw.NoRoute,
+			"multicast":                sw.Broadcasts,
+			"AIS":                      sw.AISCells,
+			"link random loss (as)":    as.Lost - as.DroppedDown,
+			"link random loss (sd)":    sd.Lost,
+			"link down (as)":           as.DroppedDown,
+			"link down (se)":           se.DroppedDown,
+			"NIC receive FIFO (b)":     b.FifoDrops,
+			"NIC bad OAM (b)":          b.BadOAM,
+			"NIC unknown VC (e)":       e.UnknownVC,
+			"NIC fault mgmt (e) RDI":   n.Endpoint("e").Interface().FMStats().RDITx,
+			"framed line SDU loss (g)": g.AALErrors,
 		} {
 			if count == 0 {
 				t.Errorf("sharded=%v: the run never exercised %s", sharded, cause)
 			}
 		}
-		stats[i] = fmt.Sprintf("%+v %+v %+v %+v %+v %+v", sw, b, e, as, sd, se)
+		if g.Packets == 0 {
+			t.Errorf("sharded=%v: the framed line delivered nothing", sharded)
+		}
+		stats[i] = fmt.Sprintf("%+v %+v %+v %+v %+v %+v %+v", sw, b, e, g, as, sd, se)
 	}
 	if stats[0] != stats[1] {
 		t.Errorf("sharded run diverged from serial:\nserial  %s\nsharded %s", stats[0], stats[1])

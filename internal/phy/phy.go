@@ -11,7 +11,7 @@
 // A fiber delivers in the order it was fed, so both links keep what is in
 // flight in a sim.DelayLine: one queued kernel event per link direction, for
 // the unit due next, however long the fiber. Dispatch order is the same as
-// one event per unit. CellDeferrer survives only for the burst path.
+// one event per unit.
 package phy
 
 import (
@@ -66,10 +66,6 @@ type CellLink struct {
 	// for the cell at its head rather than one per cell.
 	line *sim.DelayLine[*atm.Cell]
 
-	def            *CellDeferrer        // burst path only
-	deliverFn      func(*atm.Cell)      // bound deliver method, created once
-	deliverBurstFn func(*atm.CellBurst) // bound burst deliver method
-
 	// Boundary mode (sharded runs): when the two ends of the link live in
 	// different partitions, deliveries ride a sim.Mailbox instead of a local
 	// deferred event, and the fiber's propagation delay is the partition
@@ -94,10 +90,7 @@ func NewCellLink(k *sim.Kernel, delay sim.Duration, seed uint64, sink atm.CellCo
 		panic("phy: nil sink")
 	}
 	l := &CellLink{k: k, Delay: delay, rng: sim.NewRand(seed), sink: sink, pool: atm.NewPool(0)}
-	l.def = NewCellDeferrer(k)
-	l.deliverFn = l.deliver
-	l.line = sim.NewDelayLine(k, l.deliverFn)
-	l.deliverBurstFn = l.deliverBurst
+	l.line = sim.NewDelayLine(k, l.deliver)
 	return l
 }
 
@@ -271,82 +264,6 @@ func (l *CellLink) Send(c *atm.Cell) {
 		return
 	}
 	l.line.Push(l.k.Now()+l.Delay, c)
-}
-
-// DeliverBurst implements atm.BurstConsumer: a whole cell vector enters the
-// fiber in one call. The producer must emit the burst in an event at time
-// b.Base (cell 0's wire slot). Loss and corruption are drawn per cell in
-// wire order — the identical rng sequence the serial path draws — and each
-// dropped cell is attributed at its own slot time. A clean burst bound for a
-// burst-aware sink crosses the fiber as ONE kernel event; a lossy burst is no
-// longer a uniform-stride run, so it (like any burst bound for a per-cell
-// sink) degrades to per-cell deferred delivery at the arithmetic arrival
-// times, event-for-event identical to serial.
-//
-// Known divergence from serial: the link's up/down state and the per-cell
-// rng are sampled when the burst is offered (time Base), so a Fail or
-// Restore landing inside the burst's wire window affects the whole burst
-// rather than its tail — a window of at most one frame time.
-func (l *CellLink) DeliverBurst(b *atm.CellBurst) {
-	lossy := false
-	for i, c := range b.Cells {
-		l.stats.Sent++
-		drop := l.down
-		if drop {
-			l.stats.DroppedDown++
-		} else if l.LossProb > 0 && l.rng.Bernoulli(l.LossProb) {
-			drop = true
-		}
-		if drop {
-			l.stats.Lost++
-			l.sp.DropAt(sim.Time(b.At(i)), c.Header.VC(), metrics.DropLink)
-			l.pool.Put(c)
-			b.Cells[i] = nil
-			lossy = true
-			continue
-		}
-		if l.CorruptProb > 0 && l.rng.Bernoulli(l.CorruptProb) {
-			l.stats.Corrupted++
-			j := l.rng.Intn(len(c.Payload))
-			c.Payload[j] ^= 1 << uint(l.rng.Intn(8))
-		}
-		l.stats.Delivered++
-	}
-	l.sp.EnterBurst(b)
-	if l.mb != nil {
-		// Boundary crossing degrades to per-cell mailbox posts at the
-		// arithmetic arrival times: the dest partition sees the identical
-		// per-cell event sequence the serial degraded path produces. (No
-		// current topology cuts a burst-carrying link — framed links are
-		// never cut — so this path trades batching for simplicity.)
-		for i, c := range b.Cells {
-			if c == nil {
-				continue
-			}
-			l.mb.Post(sim.Time(b.At(i))+l.Delay, l.k.Now(), l.remoteFn, c)
-		}
-		atm.PutBurst(b)
-		return
-	}
-	if _, ok := l.sink.(atm.BurstConsumer); ok && !lossy {
-		l.def.PostBurstEvent(l.Delay, l.deliverBurstFn, b)
-		return
-	}
-	l.def.PostBurst(l.Delay, sim.Duration(b.Stride), l.deliverFn, b)
-}
-
-// deliverBurst fires one propagation delay after a clean burst entered the
-// fiber; the arrival base is kernel-now. If the sink was re-attached to a
-// per-cell consumer while the burst was in flight, the remainder spreads to
-// individual deliveries at the arithmetic arrival times.
-func (l *CellLink) deliverBurst(b *atm.CellBurst) {
-	b.Base = int64(l.k.Now())
-	if bc, ok := l.sink.(atm.BurstConsumer); ok {
-		l.sp.ExitBurst(b)
-		bc.DeliverBurst(b)
-		return
-	}
-	l.def.PostBurst(0, sim.Duration(b.Stride), l.deliverFn, b)
 }
 
 // FrameLink is a unidirectional SONET-frame pipe.

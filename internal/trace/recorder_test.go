@@ -56,6 +56,29 @@ func TestEnterExitSpans(t *testing.T) {
 
 // TestWraparound pins the flight-recorder semantics: the ring keeps the
 // LAST capacity events in chronological order and counts what it evicted.
+// TestEventsReturnsCopy: the slice Events hands out is the caller's, before
+// and after the ring wraps — writing to it never reaches the recorder.
+func TestEventsReturnsCopy(t *testing.T) {
+	k := sim.NewKernel()
+	r := NewRecorder(k, 4)
+	sp := r.Stage("a", "s")
+	for _, n := range []int{3, 6} { // part of the ring, then wrapped
+		r.Reset()
+		for i := 0; i < n; i++ {
+			sp.Enter(recVC)
+		}
+		evs := r.Events()
+		for i := range evs {
+			evs[i].Kind = KindDrop
+		}
+		for _, ev := range r.Events() {
+			if ev.Kind != KindEnter {
+				t.Fatalf("%d events: writing to Events() changed the ring", n)
+			}
+		}
+	}
+}
+
 func TestWraparound(t *testing.T) {
 	k := sim.NewKernel()
 	r := NewRecorder(k, 8)
