@@ -1,11 +1,12 @@
 package sim
 
 import (
-	"bytes"
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
+	"time"
 )
 
 // pingNode is a toy protocol node: on receiving a token it logs the arrival
@@ -141,22 +142,245 @@ func TestGroupIdleJump(t *testing.T) {
 }
 
 // TestGroupCloseWaitsForWorkers pins that Close returns only after the
-// worker goroutines have exited. A worker still parked on its closed
-// channel keeps its kernel, and everything the kernel's events reference,
+// worker goroutines have exited. A worker still waiting for its next window
+// keeps its kernel, and everything the kernel's events reference,
 // reachable, so a collection right after Close would count a whole
 // finished network as live.
 func TestGroupCloseWaitsForWorkers(t *testing.T) {
-	stacks := make([]byte, 1<<20)
-	for i := 0; i < 20; i++ {
+	for i := 0; i < 50; i++ {
 		ka, kb := NewKernel(), NewKernel()
 		g := NewGroup([]*Kernel{ka, kb})
 		g.Mailbox(ka, kb, 10)
 		ka.Post(1, func() {})
 		g.Run()
 		g.Close()
-		n := runtime.Stack(stacks, true)
-		if at := bytes.Index(stacks[:n], []byte("(*Group).start")); at >= 0 {
-			t.Fatalf("round %d: a worker outlived Close:\n%s", i, stacks[max(0, at-200):min(n, at+200)])
+		if frame := workerFrame(); frame != "" {
+			t.Fatalf("round %d: a worker outlived Close:\n%s", i, frame)
+		}
+	}
+}
+
+// stacks is workerFrame's buffer, allocated once so that the snapshot
+// follows Close without the delay of zeroing a megabyte.
+var stacks = make([]byte, 1<<20)
+
+// workerFrame returns the stack of a live (*Group).worker goroutine, or ""
+// when there is none. A worker inside the WaitGroup.Done it defers has
+// released Close and only returns, so it does not count.
+func workerFrame() string {
+	n := runtime.Stack(stacks, true)
+	for _, st := range strings.Split(string(stacks[:n]), "\n\n") {
+		if strings.Contains(st, "(*Group).worker") && !strings.Contains(st, "sync.(*WaitGroup).Done") {
+			return st
+		}
+	}
+	return ""
+}
+
+// ring is a cycle of ping nodes, node i passing tokens to node i+1, either
+// all on one serial kernel or one partition per node.
+type ring struct {
+	nodes []*pingNode
+	k     *Kernel // serial build
+	g     *Group  // sharded build
+}
+
+// newRing builds an n-node ring and injects two tokens at t=100, at nodes 0
+// and n/2, which circulate until they reach a node with no hops left (well
+// before 1 ms). After a 50 ms idle stretch every node sends one more token
+// to its peer.
+func newRing(n int, sharded bool) *ring {
+	const delay = 2000
+	r := &ring{}
+	ks := make([]*Kernel, n)
+	if sharded {
+		for i := range ks {
+			ks[i] = NewKernel()
+		}
+		r.g = NewGroup(ks)
+	} else {
+		r.k = NewKernel()
+		for i := range ks {
+			ks[i] = r.k
+		}
+	}
+	for i, k := range ks {
+		r.nodes = append(r.nodes, &pingNode{k: k, name: fmt.Sprint(i), rng: NewRand(uint64(11 + i)),
+			delay: delay, think: Duration(100 + 70*i), left: 30})
+	}
+	for i, nd := range r.nodes {
+		j := (i + 1) % n
+		nd.peer = r.nodes[j]
+		if sharded {
+			nd.send = r.g.Mailbox(ks[i], ks[j], delay).Post
+		} else {
+			k := r.k
+			nd.send = func(at, pt Time, afn func(any), arg any) { k.Post(at, func() { afn(arg) }) }
+		}
+	}
+	inject := func(nd *pingNode, at Time) {
+		tok := new(int)
+		nd.k.Post(at, func() { nd.send(nd.k.Now()+nd.delay, nd.k.Now(), nd.peer.recv, tok) })
+	}
+	inject(r.nodes[0], 100)
+	inject(r.nodes[n/2], 100)
+	for _, nd := range r.nodes {
+		inject(nd, 50*Millisecond)
+	}
+	return r
+}
+
+func (r *ring) runUntil(t Time) Time {
+	if r.g != nil {
+		return r.g.RunUntil(t)
+	}
+	return r.k.RunUntil(t)
+}
+
+func (r *ring) run() Time {
+	if r.g != nil {
+		return r.g.Run()
+	}
+	return r.k.Run()
+}
+
+// sameLogs fails t unless the two rings' nodes logged identical histories.
+func sameLogs(t *testing.T, serial, sharded *ring) {
+	t.Helper()
+	for i := range serial.nodes {
+		s, p := serial.nodes[i].log, sharded.nodes[i].log
+		if len(s) == 0 {
+			t.Fatalf("node %d logged nothing", i)
+		}
+		if !reflect.DeepEqual(s, p) {
+			t.Errorf("node %d diverged:\nserial  %v\nsharded %v", i, s, p)
+		}
+	}
+}
+
+// waitParked returns once every worker of g sleeps on its wake channel,
+// having spun out its budget.
+func waitParked(t *testing.T, g *Group) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for _, s := range g.shards[1:] {
+		for !s.parked.Load() {
+			if time.Now().After(deadline) {
+				t.Fatal("workers never parked")
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+}
+
+// TestGroupCloseLifecycle covers Close outside the steady state: before any
+// run, twice, and while every worker is parked. Each run is byte-identical
+// to serial, and no worker outlives Close.
+func TestGroupCloseLifecycle(t *testing.T) {
+	serial := newRing(4, false)
+	serialEnd := serial.run()
+
+	t.Run("before_run", func(t *testing.T) {
+		r := newRing(4, true)
+		r.g.Close()
+		if frame := workerFrame(); frame != "" {
+			t.Fatalf("a worker runs after Close on an unstarted group:\n%s", frame)
+		}
+	})
+	t.Run("twice", func(t *testing.T) {
+		r := newRing(4, true)
+		if end := r.run(); end != serialEnd {
+			t.Errorf("final time %v, serial %v", end, serialEnd)
+		}
+		r.g.Close()
+		r.g.Close()
+		if frame := workerFrame(); frame != "" {
+			t.Fatalf("a worker outlived Close:\n%s", frame)
+		}
+		sameLogs(t, serial, r)
+	})
+	t.Run("parked", func(t *testing.T) {
+		r := newRing(4, true)
+		r.runUntil(30 * Millisecond) // the late tokens are still queued
+		waitParked(t, r.g)
+		r.g.Close()
+		if frame := workerFrame(); frame != "" {
+			t.Fatalf("a parked worker outlived Close:\n%s", frame)
+		}
+		for i, nd := range r.nodes {
+			if n := len(nd.log); n == 0 || n == len(serial.nodes[i].log) {
+				t.Errorf("node %d logged %d of %d entries by the first deadline", i, n, len(serial.nodes[i].log))
+			}
+			if !reflect.DeepEqual(nd.log, serial.nodes[i].log[:len(nd.log)]) {
+				t.Errorf("node %d diverged from serial before Close", i)
+			}
+		}
+	})
+}
+
+// TestGroupRunUntilWakesParkedWorkers pins that a run after a long host
+// idle wakes the parked workers, and that splitting a run around the idle
+// changes nothing: RunUntil to mid-stretch, wait until every worker has
+// parked, RunUntil across the simulated idle stretch, then Run to the end.
+func TestGroupRunUntilWakesParkedWorkers(t *testing.T) {
+	serial, r := newRing(4, false), newRing(4, true)
+	defer r.g.Close()
+	for _, x := range []*ring{serial, r} {
+		x.runUntil(30 * Millisecond)
+	}
+	waitParked(t, r.g)
+	for _, x := range []*ring{serial, r} {
+		if got := x.runUntil(60 * Millisecond); got != 60*Millisecond {
+			t.Fatalf("RunUntil returned %v", got)
+		}
+	}
+	waitParked(t, r.g)
+	if s, p := serial.run(), r.run(); s != p {
+		t.Errorf("final time: serial %v sharded %v", s, p)
+	}
+	sameLogs(t, serial, r)
+}
+
+// TestGroupOversubscribedParksAtOnce runs four partitions on one P: the
+// barrier must not spin (a spinning waiter would hold the only P its
+// shards need), and the run must complete byte-identical to serial.
+func TestGroupOversubscribedParksAtOnce(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	serial, r := newRing(4, false), newRing(4, true)
+	defer r.g.Close()
+	if s, p := serial.run(), r.run(); s != p {
+		t.Errorf("final time: serial %v sharded %v", s, p)
+	}
+	if r.g.spin {
+		t.Error("4 shards on GOMAXPROCS=1 chose the spinning barrier")
+	}
+	sameLogs(t, serial, r)
+}
+
+// TestGroupStats pins the executor's deterministic counters on the
+// ping-pong scenario and bounds its host times: per shard, busy plus
+// waiting time never exceeds the wall time spent in Run.
+func TestGroupStats(t *testing.T) {
+	const delay = 2000
+	ka, kb := NewKernel(), NewKernel()
+	g := NewGroup([]*Kernel{ka, kb})
+	defer g.Close()
+	mab, mba := g.Mailbox(ka, kb, delay), g.Mailbox(kb, ka, delay)
+	buildPair(ka, kb, delay, mab.Post, mba.Post)
+	kb.Post(40*Millisecond, func() {}) // one idle stretch past the ping-pong
+	g.Run()
+
+	st := g.Stats()
+	// 41 token hops cross a mailbox; the jump is the 40 ms event.
+	if st.Windows != 43 || st.IdleJumps != 1 || st.Drained != 41 {
+		t.Errorf("windows %d, idle jumps %d, drained %d; want 43, 1, 41", st.Windows, st.IdleJumps, st.Drained)
+	}
+	if len(st.Shards) != 2 {
+		t.Fatalf("%d shard entries, want 2", len(st.Shards))
+	}
+	for i, s := range st.Shards {
+		if s.BusyNs < 0 || s.WaitNs < 0 || s.BusyNs+s.WaitNs > st.WallNs {
+			t.Errorf("shard %d: busy %d ns + wait %d ns against wall %d ns", i, s.BusyNs, s.WaitNs, st.WallNs)
 		}
 	}
 }
